@@ -30,7 +30,7 @@
 use dwrs_core::keys::{key_above, p_key_above};
 use dwrs_core::math::geometric_trials;
 use dwrs_core::rng::Rng;
-use dwrs_core::swor::{level_of, DownMsg, LevelBits, SworConfig, UpMsg};
+use dwrs_core::swor::{level_of, max_level, DownMsg, LevelBits, SworConfig, UpMsg};
 use dwrs_core::topk::TopK;
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::SiteNode;
@@ -129,7 +129,11 @@ impl SiteNode for L1Site {
 
     fn receive(&mut self, msg: &DownMsg) {
         match *msg {
-            DownMsg::LevelSaturated { level } => self.saturated.set(level),
+            DownMsg::LevelSaturated { level } => {
+                if level <= max_level(self.r) {
+                    self.saturated.set(level);
+                }
+            }
             DownMsg::UpdateEpoch { threshold } => {
                 if threshold > self.threshold {
                     self.threshold = threshold;
@@ -247,5 +251,16 @@ mod tests {
             "self-threshold failed: {total_regular} regulars for {} duplicates",
             n * ell
         );
+    }
+
+    #[test]
+    fn out_of_range_saturated_level_is_ignored() {
+        let cfg = SworConfig::new(16, 2);
+        let mut site = L1Site::new(&cfg, 4, 12);
+        SiteNode::receive(&mut site, &DownMsg::LevelSaturated { level: 3 });
+        let words = site.saturated.words();
+        SiteNode::receive(&mut site, &DownMsg::LevelSaturated { level: u32::MAX });
+        assert_eq!(site.saturated.words(), words);
+        assert!(!site.saturated.get(u32::MAX));
     }
 }

@@ -15,6 +15,15 @@ pub fn level_of(weight: f64, r: f64) -> u32 {
     }
 }
 
+/// Highest level a finite weight can have: `level_of(f64::MAX, r)`.
+///
+/// A `LevelSaturated` broadcast above it names no weight, and setting its
+/// bit would grow a [`LevelBits`] by `level / 64` words (512 MiB for
+/// `u32::MAX`), so receivers drop such levels.
+pub fn max_level(r: f64) -> u32 {
+    level_of(f64::MAX, r)
+}
+
 /// Epoch index of a threshold statistic `u`: `Some(j)` with
 /// `u ∈ [r^j, r^(j+1))` once `u ≥ 1`, `None` before that (the paper's
 /// "epoch 0 until u first reaches r"; sites filter nothing while `None`).
@@ -60,6 +69,19 @@ impl LevelBits {
             self.words.resize(w + 1, 0);
         }
         self.words[w] |= 1 << (level % 64);
+    }
+
+    /// Length of the run of set bits that starts at level 0: levels
+    /// `0..prefix_len()` are all set and level `prefix_len()` is not.
+    pub fn prefix_len(&self) -> u32 {
+        let mut len = 0;
+        for &word in &self.words {
+            len += word.trailing_ones();
+            if word != u64::MAX {
+                break;
+            }
+        }
+        len
     }
 
     /// Number of storage words (for space accounting tests).
@@ -122,6 +144,37 @@ mod tests {
         assert!(!b.get(1) && !b.get(65) && !b.get(199));
         // ~200 levels need only 4 words: O(1) space in practice.
         assert!(b.words() <= 4);
+    }
+
+    #[test]
+    fn level_bits_prefix_len() {
+        let mut b = LevelBits::new();
+        assert_eq!(b.prefix_len(), 0);
+        b.set(1);
+        assert_eq!(b.prefix_len(), 0, "level 0 unset");
+        b.set(0);
+        assert_eq!(b.prefix_len(), 2);
+        for level in 2..64 {
+            b.set(level);
+        }
+        assert_eq!(b.prefix_len(), 64, "one full word, next word absent");
+        b.set(70);
+        assert_eq!(b.prefix_len(), 64, "gap at 64");
+        for level in 64..70 {
+            b.set(level);
+        }
+        assert_eq!(b.prefix_len(), 71);
+    }
+
+    #[test]
+    fn max_level_is_the_level_of_the_largest_weight() {
+        // 2^1023 <= f64::MAX < 2^1024.
+        assert_eq!(max_level(2.0), 1023);
+        for r in [2.0, 3.7, 1000.0] {
+            let top = max_level(r);
+            assert!(powi(r, i64::from(top)) <= f64::MAX);
+            assert_eq!(powi(r, i64::from(top) + 1), f64::INFINITY);
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod wire;
 pub use config::SworConfig;
 pub use coordinator::{CoordStats, SworCoordinator};
 pub use faithful::FaithfulCoordinator;
-pub use levels::{epoch_of, epoch_threshold, level_of, LevelBits};
+pub use levels::{epoch_of, epoch_threshold, level_of, max_level, LevelBits};
 pub use messages::{DownMsg, SyncMsg, UpMsg};
 pub use naive::{NaiveCoordinator, NaiveSite};
 pub use site::{SiteStats, SworSite};
