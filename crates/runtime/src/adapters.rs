@@ -12,7 +12,6 @@ use dwrs_sim::{swor_coordinator, swor_site};
 
 use crate::config::RuntimeConfig;
 use crate::engine::{run_threads, RunOutput, RuntimeError};
-use crate::tcp::run_tcp;
 
 /// Which execution substrate to run a deployment on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,13 +20,8 @@ pub enum EngineKind {
     Lockstep,
     /// OS threads over in-process bounded channels.
     Threads,
-    /// OS threads over loopback TCP with framed wire encoding.
-    Tcp,
-    /// Event-driven loopback TCP: the same wire format as [`Tcp`], but
-    /// every connection multiplexed onto a few epoll event loops instead
-    /// of two threads per site ([`crate::epoll`]).
-    ///
-    /// [`Tcp`]: EngineKind::Tcp
+    /// Loopback TCP with framed wire encoding, every connection
+    /// multiplexed onto a few epoll event loops ([`crate::epoll`]).
     Epoll,
 }
 
@@ -37,10 +31,9 @@ impl std::str::FromStr for EngineKind {
         match s {
             "lockstep" => Ok(EngineKind::Lockstep),
             "threads" => Ok(EngineKind::Threads),
-            "tcp" => Ok(EngineKind::Tcp),
             "epoll" => Ok(EngineKind::Epoll),
             other => Err(format!(
-                "unknown engine '{other}' (expected lockstep | threads | tcp | epoll)"
+                "unknown engine '{other}' (expected lockstep | threads | epoll)"
             )),
         }
     }
@@ -51,7 +44,6 @@ impl std::fmt::Display for EngineKind {
         match self {
             EngineKind::Lockstep => write!(f, "lockstep"),
             EngineKind::Threads => write!(f, "threads"),
-            EngineKind::Tcp => write!(f, "tcp"),
             EngineKind::Epoll => write!(f, "epoll"),
         }
     }
@@ -96,7 +88,6 @@ where
             })
         }
         EngineKind::Threads => run_threads(sites, coordinator, streams, rcfg),
-        EngineKind::Tcp => run_tcp(sites, coordinator, streams, rcfg),
         EngineKind::Epoll => {
             // Vec-based entry point: materialize each partition into a
             // nonblocking feed. The scenario driver streams shard queues
@@ -116,8 +107,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::engine::split_stream;
 
     #[test]
     fn engine_kind_parses() {
@@ -125,23 +114,27 @@ mod tests {
             "threads".parse::<EngineKind>().unwrap(),
             EngineKind::Threads
         );
-        assert_eq!("tcp".parse::<EngineKind>().unwrap(), EngineKind::Tcp);
         assert_eq!("epoll".parse::<EngineKind>().unwrap(), EngineKind::Epoll);
         assert_eq!(
             "lockstep".parse::<EngineKind>().unwrap(),
             EngineKind::Lockstep
         );
         assert!("async".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::Tcp.to_string(), "tcp");
+        assert!("tcp".parse::<EngineKind>().is_err());
         assert_eq!(EngineKind::Epoll.to_string(), "epoll");
     }
 
-    #[allow(deprecated)]
+    /// Items `0..n` with weights cycling through 1..=7, item `i` on site
+    /// `i % k`.
     fn streams(n: u64, k: usize) -> Vec<Vec<Item>> {
-        split_stream(
-            k,
-            (0..n).map(|i| ((i % k as u64) as usize, Item::new(i, 1.0 + (i % 7) as f64))),
-        )
+        (0..k as u64)
+            .map(|site| {
+                (site..n)
+                    .step_by(k)
+                    .map(|i| Item::new(i, 1.0 + (i % 7) as f64))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]

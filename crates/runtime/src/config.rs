@@ -1,6 +1,6 @@
 //! Runtime tuning knobs.
 
-/// Configuration for the threaded/TCP/epoll engines.
+/// Configuration for the threads and epoll engines.
 ///
 /// The knobs trade latency for throughput:
 ///

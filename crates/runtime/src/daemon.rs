@@ -1,9 +1,9 @@
 //! The long-lived sampling daemon: a persistent, connection-accepting
 //! coordinator process hosting many concurrent **named streams**.
 //!
-//! The one-shot [`crate::tcp::serve_coordinator`] server runs exactly one
-//! stream for exactly `k` sites and exits at the final drain. The paper's
-//! model, however, is *continuous monitoring*: the coordinator must hold a
+//! A batch run ([`crate::run_scenario`]) runs exactly one stream for
+//! exactly `k` sites and returns at the final drain. The paper's model,
+//! however, is *continuous monitoring*: the coordinator must hold a
 //! valid weighted SWOR — and answer the application queries derived from
 //! it — **at every time step**, not only at the end. [`Daemon`] is that
 //! model as a process:
@@ -15,7 +15,7 @@
 //! * **Attach / detach / reconnect**: sites join mid-run
 //!   ([`CtrlMsg::Attach`]), may disconnect (a clean socket close at a
 //!   frame boundary detaches the slot without faulting the stream — the
-//!   deliberate difference from the one-shot server, where a close before
+//!   deliberate difference from the batch engines, where a close before
 //!   `Eof` is a fault), and may reattach later to resume. Reattached
 //!   links are **replayed** the coordinator's current broadcast state
 //!   (saturated levels, the epoch threshold) so a reconnecting site
@@ -33,8 +33,8 @@
 //! Wire protocol: control frames are [`CtrlMsg`] / [`CtrlResp`] over the
 //! standard `[u32 LE length][payload]` framing; after a successful attach
 //! the same connection switches to the data-plane framing
-//! (`TAG_BATCH`/`TAG_EOF` upstream, `TAG_DOWN` downstream) shared with
-//! the one-shot TCP transport. See `docs/DAEMON.md` for the operator
+//! (`TAG_BATCH`/`TAG_EOF` upstream, `TAG_DOWN` downstream) of `tcp.rs`,
+//! which the epoll engine speaks too. See `docs/DAEMON.md` for the operator
 //! guide and byte-level layouts.
 
 use std::collections::HashMap;

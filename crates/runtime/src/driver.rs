@@ -17,7 +17,7 @@
 //!   `shards × (queue + 1) × frame` items (see [`DispatcherStats`]),
 //!   independent of stream length — O(batch × queue), not O(n).
 //! * [`Scenario`] + [`run_scenario`] — the single entry point: protocol
-//!   config, engine (lockstep | threads | tcp), topology (flat | tree),
+//!   config, engine (lockstep | threads | epoll), topology (flat | tree),
 //!   workload, seed and partition in one value; the result is a uniform
 //!   [`RunReport`] (sample, per-tier metrics, invariant checks, wall
 //!   clock, throughput, dispatcher stats, peak-RSS estimate) whatever the
@@ -55,7 +55,6 @@ use crate::config::RuntimeConfig;
 use crate::engine::{run_threads, RunOutput, RuntimeError};
 use crate::epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed};
 use crate::query::{run_query_flat, run_query_tree, FlatOutcome, TreeOutcome};
-use crate::tcp::run_tcp;
 use crate::tree::{
     finish_lockstep_tree, run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput,
     TreeTopology,
@@ -1038,14 +1037,11 @@ where
             };
             Ok((items, weight, out, None))
         }
-        EngineKind::Threads | EngineKind::Tcp => {
+        EngineKind::Threads => {
             let (dispatcher, shards) = Dispatcher::new(sc.k);
             let partitioner = sc.partitioner();
             let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
-            let result = match sc.engine {
-                EngineKind::Threads => run_threads(sites, coordinator, shards, &sc.runtime),
-                _ => run_tcp(sites, coordinator, shards, &sc.runtime),
-            };
+            let result = run_threads(sites, coordinator, shards, &sc.runtime);
             let dstats = join_feeder(feeder)?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
@@ -1127,7 +1123,7 @@ where
             };
             Ok((items, weight, out, None))
         }
-        EngineKind::Threads | EngineKind::Tcp => {
+        EngineKind::Threads => {
             let (dispatcher, shards) = Dispatcher::new(sc.k);
             let partitioner = sc.partitioner();
             let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
@@ -1410,7 +1406,7 @@ mod tests {
 
     #[test]
     fn flat_scenario_runs_on_every_engine() {
-        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
             let sc = Scenario::new(engine, 4, 8)
                 .with_n(20_000)
                 .with_workload(Workload::Zipf { alpha: 1.2 });
@@ -1437,7 +1433,7 @@ mod tests {
 
     #[test]
     fn tree_scenario_runs_on_every_engine() {
-        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
             let sc = Scenario::new(engine, 4, 8)
                 .with_n(20_000)
                 .with_topology(Topology::Tree {
@@ -1526,7 +1522,7 @@ mod tests {
             },
             Query::SlidingWindow { window: 5_000 },
         ] {
-            for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+            for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
                 for topology in [
                     Topology::Flat,
                     Topology::Tree {

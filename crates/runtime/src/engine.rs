@@ -2,16 +2,17 @@
 //!
 //! Each site runs its partition of the stream on its own OS thread; the
 //! coordinator runs on another. Threads communicate only through a
-//! [`crate::transport`] wiring, so the same loops drive in-process channels
-//! and loopback TCP.
+//! [`crate::transport`] wiring — in-process channels for [`run_threads`].
+//! The epoll engine runs the same `coordinator_loop` behind its reactor,
+//! and the daemon's attach client ships its batches through the same
+//! `flush`.
 //!
 //! # Deadlock freedom
 //!
 //! The up path is bounded and blocking (backpressure); the down path is
-//! unbounded and drained eagerly by sites (between items) and continuously
-//! by the TCP reader threads. Because the coordinator never blocks sending
-//! down, it always returns to draining the up queue, so blocked site
-//! `send`s always unblock. A cycle of blocking sends — the classic
+//! unbounded and drained eagerly by sites (between items). Because the
+//! coordinator never blocks sending down, it always returns to draining
+//! the up queue, so blocked site `send`s always unblock. A cycle of blocking sends — the classic
 //! site⇄coordinator deadlock — cannot form.
 //!
 //! # Graceful shutdown
@@ -256,17 +257,12 @@ pub(crate) fn flush<U: Meter>(
 }
 
 /// Drives the coordinator until every site reached `Eof` (or disconnected),
-/// then closes the down links. Returns the thread-local downstream metrics
-/// (plus upstream metrics when `count_ups` — used by the standalone TCP
-/// server, whose remote sites cannot contribute their own meters) together
-/// with the total stream-progress watermark (items observed, summed over
-/// every batch frame — the incremental-snapshot accounting the daemon and
-/// `serve` report).
+/// then closes the down links. Returns the thread-local downstream
+/// metrics; the sites meter their own upstream sends.
 pub(crate) fn coordinator_loop<C>(
     node: &mut C,
     endpoint: CoordEndpoint<C::Up, C::Down>,
-    count_ups: bool,
-) -> Result<(Metrics, u64), RuntimeError>
+) -> Result<Metrics, RuntimeError>
 where
     C: CoordinatorNode,
 {
@@ -275,16 +271,11 @@ where
     let mut metrics = Metrics::new();
     let mut outbox = Outbox::new();
     let mut done = 0usize;
-    let mut items_observed = 0u64;
     let mut fault: Option<String> = None;
     while done < k {
         match up.recv() {
-            Ok((site, UpFrame::Batch { msgs, items })) => {
-                items_observed += items;
+            Ok((site, UpFrame::Batch { msgs, .. })) => {
                 for msg in msgs {
-                    if count_ups {
-                        metrics.count_up(msg.kind(), msg.units(), msg.wire_bytes());
-                    }
                     node.receive(site, msg, &mut outbox);
                     route(&mut outbox, &mut downs, &mut metrics);
                 }
@@ -307,7 +298,7 @@ where
     record_thread_metrics(&metrics);
     match fault {
         Some(e) => Err(RuntimeError::Transport(e)),
-        None => Ok((metrics, items_observed)),
+        None => Ok(metrics),
     }
 }
 
@@ -336,8 +327,8 @@ pub(crate) fn route<D: Meter>(
 }
 
 /// Runs a full deployment over an already-built wiring. The generic engine
-/// behind [`run_threads`] and [`crate::tcp::run_tcp`]: any
-/// [`SiteNode`]/[`CoordinatorNode`] pair from `dwrs-sim` runs unmodified.
+/// behind [`run_threads`]: any [`SiteNode`]/[`CoordinatorNode`] pair from
+/// `dwrs-sim` runs unmodified.
 pub fn run_on<S, C, I>(
     wiring: crate::transport::Wiring<S::Up, S::Down>,
     sites: Vec<S>,
@@ -369,7 +360,7 @@ where
             }));
         }
         let coord_handle = scope.spawn(move || {
-            let (metrics, _items) = coordinator_loop(&mut coordinator, coord_ep, false)?;
+            let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
             Ok::<_, RuntimeError>((coordinator, metrics))
         });
         let site_res: Vec<_> = site_handles.into_iter().map(|h| h.join()).collect();
@@ -403,8 +394,8 @@ where
 /// channels.
 ///
 /// `streams[i]` is site `i`'s partition of the global stream, in that
-/// site's arrival order (use [`split_stream`] to derive partitions from a
-/// globally ordered stream).
+/// site's arrival order. To stream a workload through a bounded
+/// dispatcher instead, describe the run as a [`crate::driver::Scenario`].
 pub fn run_threads<S, C, I>(
     sites: Vec<S>,
     coordinator: C,
@@ -420,33 +411,6 @@ where
 {
     let wiring = channel_wiring(sites.len(), cfg.queue_capacity);
     run_on(wiring, sites, coordinator, streams, cfg)
-}
-
-/// Splits a globally ordered `(site, item)` stream into per-site partitions
-/// preserving each site's arrival order — the runtime analogue of feeding
-/// `assign_sites` output to the lockstep runner.
-///
-/// This **materializes the whole stream** (O(n) memory): each partition is
-/// the vec-backed [`crate::driver`] source adapter, kept only so old
-/// call sites keep compiling. New code should describe the deployment as a
-/// [`crate::driver::Scenario`] and let [`crate::driver::run_scenario`]
-/// stream the workload through the bounded dispatcher at O(batch × queue)
-/// memory instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "materializes the whole stream (O(n) memory); describe the run as a \
-            driver::Scenario and use driver::run_scenario, which streams at \
-            O(batch × queue) memory"
-)]
-pub fn split_stream<I>(k: usize, stream: I) -> Vec<Vec<Item>>
-where
-    I: IntoIterator<Item = (usize, Item)>,
-{
-    let mut parts: Vec<Vec<Item>> = (0..k).map(|_| Vec::new()).collect();
-    for (site, item) in stream {
-        parts[site].push(item);
-    }
-    parts
 }
 
 #[cfg(test)]
@@ -499,9 +463,11 @@ mod tests {
         }
     }
 
-    #[allow(deprecated)]
+    /// Unit items `0..n`, item `i` on site `i % k`.
     fn parts(n: u64, k: usize) -> Vec<Vec<Item>> {
-        split_stream(k, (0..n).map(|i| ((i % k as u64) as usize, Item::unit(i))))
+        (0..k as u64)
+            .map(|site| (site..n).step_by(k).map(Item::unit).collect())
+            .collect()
     }
 
     #[test]
@@ -631,24 +597,5 @@ mod tests {
             matches!(err, RuntimeError::CoordinatorPanicked),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn split_stream_preserves_per_site_order() {
-        let parts = split_stream(
-            3,
-            vec![
-                (2, Item::unit(0)),
-                (0, Item::unit(1)),
-                (2, Item::unit(2)),
-                (1, Item::unit(3)),
-                (0, Item::unit(4)),
-            ],
-        );
-        let ids = |v: &Vec<Item>| v.iter().map(|i| i.id).collect::<Vec<_>>();
-        assert_eq!(ids(&parts[0]), vec![1, 4]);
-        assert_eq!(ids(&parts[1]), vec![3]);
-        assert_eq!(ids(&parts[2]), vec![0, 2]);
     }
 }

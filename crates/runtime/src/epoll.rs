@@ -1,14 +1,14 @@
 //! The event-driven `epoll` engine: thousands of site connections
 //! multiplexed onto a small fixed pool of event-loop threads.
 //!
-//! The TCP engine ([`crate::tcp`]) spends two OS threads per site (the
+//! A thread-per-connection design would spend two OS threads per site (the
 //! site loop plus a down-reader) and one up-reader per connection on the
 //! coordinator side — at the paper's deployment regime (k in the
 //! thousands, one site per edge/user shard) that is tens of thousands of
-//! threads. This engine keeps the *protocol* byte-for-byte identical (same
-//! `HELLO`/`BATCH`/`EOF`/`FAULT`/`DOWN` framing, same [`Metrics`] deltas)
-//! but replaces thread-per-connection I/O with readiness-driven state
-//! machines over nonblocking sockets (see [`crate::reactor`]):
+//! threads. This engine speaks the data-plane framing of `tcp.rs`
+//! (`HELLO`/`BATCH`/`EOF`/`FAULT`/`DOWN`, with the same [`Metrics`]
+//! deltas as the threads engine) through readiness-driven state machines
+//! over nonblocking sockets (see [`crate::reactor`]):
 //!
 //! * **Site side** — each site is a `SiteTask`: the same
 //!   observe/flush/finish/drain protocol steps as `engine::site_loop`, but
@@ -31,7 +31,7 @@
 //!   bounded up queue. The coordinator always returns to draining that
 //!   queue, so the reactor always unblocks; while it is blocked it reads
 //!   no sockets, kernel receive buffers fill, and site writes see
-//!   `WouldBlock` — exactly the TCP engine's backpressure chain.
+//!   `WouldBlock` — the socket form of a blocking channel send.
 //! * A site task stops *pulling input* while its up `SendBuf` is over
 //!   cap (the buffered analogue of a blocking `send`), so per-connection
 //!   memory stays bounded without ever blocking an event-loop thread.
@@ -62,9 +62,8 @@ use std::time::{Duration, Instant};
 
 use dwrs_core::framed::{encode_seq, FrameCodec};
 use dwrs_core::merge::merge_samples;
-use dwrs_core::swor::SyncMsg;
 use dwrs_core::{Item, Keyed};
-use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
+use dwrs_sim::{CoordinatorNode, Metrics, SiteNode};
 
 use crate::config::RuntimeConfig;
 use crate::engine::{coordinator_loop, flush, RunOutput, RuntimeError};
@@ -73,10 +72,10 @@ use crate::reactor::{
     current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
     RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
 };
-use crate::tcp::{
-    accept_sites, connect_site, read_hello, TAG_BATCH, TAG_DOWN, TAG_EOF, TAG_FAULT, TAG_HELLO,
+use crate::tcp::{read_hello, TAG_BATCH, TAG_DOWN, TAG_EOF, TAG_FAULT, TAG_HELLO};
+use crate::transport::{
+    channel_wiring, BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame,
 };
-use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame};
 use crate::tree::{aggregator_loop, root_loop, GroupStats, SampleSource, TreeOutput, TreeTopology};
 
 /// Event-loop threads in the site-side worker pool. Connection count is a
@@ -91,7 +90,7 @@ const FEED_CHUNK: usize = 4096;
 
 /// Soft cap on a site's buffered-but-unflushed up bytes: past this the
 /// task stops pulling input until write readiness drains it (the buffered
-/// analogue of the TCP engine's blocking `send`).
+/// analogue of a blocking channel `send`).
 const UP_BUF_CAP: usize = 64 * 1024;
 
 /// Advisory cap on a connection's buffered down bytes. Down sends must
@@ -176,7 +175,7 @@ impl ItemFeed for VecFeed {
 // ------------------------------------------------------------ up sender
 
 /// [`BatchSender`] over a [`SendBuf`]: encodes exactly the frames
-/// [`crate::tcp`]'s socket sender produces, but into the connection's
+/// the daemon's blocking socket sender produces, but into the connection's
 /// buffer instead of a blocking socket write — so `engine::flush` (and its
 /// metering) is reused verbatim by the resumable site task.
 struct BufUp<'a> {
@@ -853,8 +852,9 @@ struct CoordConn {
     dead: bool,
 }
 
-/// Decodes one up-frame payload — byte-for-byte the `tcp::up_reader`
-/// rules, so faults carry identical diagnostics across engines.
+/// Decodes one up-frame payload. Every payload that is not a well-formed
+/// `BATCH` or `EOF` becomes a [`UpFrame::Fault`]: a site's own `FAULT`
+/// keeps its diagnostic, anything else gets one naming the defect.
 fn decode_up<U: FrameCodec>(payload: &[u8]) -> UpFrame<U> {
     match payload.split_first() {
         Some((&TAG_BATCH, body)) if body.len() >= 8 => {
@@ -876,10 +876,10 @@ fn decode_up<U: FrameCodec>(payload: &[u8]) -> UpFrame<U> {
 
 type UpQueue<U> = mpsc::SyncSender<(usize, UpFrame<U>)>;
 
-/// Delivers one decoded frame into the connection's up queue, applying
-/// the `tcp::up_reader` termination rules: any non-batch frame ends the
-/// up path; a fault (or an orphaned queue) tears the whole connection
-/// down so a still-streaming peer errors out promptly.
+/// Delivers one decoded frame into the connection's up queue: any
+/// non-batch frame ends the up path; a fault (or an orphaned queue) tears
+/// the whole connection down so a still-streaming peer errors out
+/// promptly.
 fn deliver<U>(c: &mut CoordConn, ups: &[UpQueue<U>], frame: UpFrame<U>) {
     let terminal = !matches!(frame, UpFrame::Batch { .. });
     let broken = matches!(frame, UpFrame::Fault(_));
@@ -1131,13 +1131,9 @@ fn wire_sites(
         let r = stream
             .set_nodelay(true)
             .map_err(|e| io_runtime_err("configuring site connection", &e))
-            .and_then(|()| read_hello(&stream))
+            .and_then(|()| read_hello(&stream, k))
             .and_then(|site| {
-                if site >= k {
-                    Err(RuntimeError::Transport(format!(
-                        "HELLO for site {site} but k = {k}"
-                    )))
-                } else if accepted[site].is_some() {
+                if accepted[site].is_some() {
                     Err(RuntimeError::Transport(format!(
                         "duplicate HELLO for site {site}"
                     )))
@@ -1182,9 +1178,9 @@ fn wire_sites(
 /// site event loops plus one coordinator reactor — thread count is O(1)
 /// in `k`, so k in the thousands runs on one box.
 ///
-/// Wire format, protocol behavior, and [`Metrics`] accounting are
-/// identical to [`crate::tcp::run_tcp`]; `feeds[i]` is site `i`'s
-/// partition of the stream as a nonblocking [`ItemFeed`].
+/// Protocol behavior and [`Metrics`] accounting are identical to
+/// [`crate::engine::run_threads`]; `feeds[i]` is site `i`'s partition of
+/// the stream as a nonblocking [`ItemFeed`].
 pub fn run_epoll<S, C>(
     sites: Vec<S>,
     mut coordinator: C,
@@ -1246,10 +1242,7 @@ where
 
     let (reactor_res, coord_res, site_res) = thread::scope(|scope| {
         let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, vec![up_tx], wake_rx));
-        let coord = scope.spawn(|| {
-            let (metrics, _items) = coordinator_loop(&mut coordinator, coord_ep, false)?;
-            Ok::<_, RuntimeError>(metrics)
-        });
+        let coord = scope.spawn(|| coordinator_loop(&mut coordinator, coord_ep));
         let site_res = run_site_pool(tasks, batch_max, down_poll);
         (reactor.join(), coord.join(), site_res)
     });
@@ -1285,10 +1278,10 @@ where
 /// site connections share one listener and one coordinator-side reactor
 /// (HELLO ids are global, `gi·k + i`), the site protocol steps run on the
 /// `EPOLL_WORKERS` loop pool, and each group's aggregator drains its
-/// own bounded up queue. The aggregator→root hop stays on the blocking
-/// TCP substrate — `g` links is a fan-in the thread-per-link wiring
-/// handles fine, and it keeps the root path byte-identical to
-/// `run_tree_tcp`.
+/// own bounded up queue. The aggregator→root hop is the in-process
+/// channel wiring the threads tree uses: aggregators and root share this
+/// process, so a socket there would only add framing and `2·g` link
+/// threads.
 ///
 /// Semantics (shutdown ordering, sync cadence, metrics accounting, error
 /// priority) match [`crate::tree::run_tree_nodes`] on the other
@@ -1312,31 +1305,15 @@ where
     let (g, k) = (topo.groups, topo.k_per_group);
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
-    // Same fail-fast as the TCP tree: the root hop is framed, so a sync
-    // frame (9-byte batch header + 17-byte SyncMsg header + 24 bytes per
-    // entry) must fit MAX_FRAME_LEN.
-    let max_sync_payload = 9 + 17 + 24 * s;
-    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
-    if max_sync_payload > frame_cap {
-        let max_s = (frame_cap - 9 - 17) / 24;
-        return Err(RuntimeError::Transport(format!(
-            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the epoll tree supports s <= {max_s}"
-        )));
-    }
     let batch_max = cfg.batch_max.max(1);
     let down_poll = cfg.down_poll_every.max(1);
     let _ = raise_nofile_limit();
 
-    let bind = |what: &str| -> Result<(TcpListener, SocketAddr), RuntimeError> {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-            .map_err(|e| io_runtime_err(&format!("bind {what} listener"), &e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        Ok((listener, addr))
-    };
-    let (site_listener, site_addr) = bind("site")?;
+    let site_listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
+        .map_err(|e| io_runtime_err("bind site listener", &e))?;
+    let site_addr = site_listener
+        .local_addr()
+        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
     let (site_streams, coord_streams) = wire_sites(&site_listener, site_addr, g * k)?;
 
     // One bounded up queue per aggregator; one reactor (and one waker)
@@ -1379,16 +1356,7 @@ where
         .map(|(rx, downs)| CoordEndpoint::new(rx, downs))
         .collect();
 
-    let (root_listener, root_addr) = bind("root")?;
-    let mut root_links = Vec::with_capacity(g);
-    for gi in 0..g {
-        root_links.push(
-            connect_site::<SyncMsg, NoDown>(root_addr, gi).map_err(|e| {
-                RuntimeError::Transport(format!("connect group {gi} root link: {e}"))
-            })?,
-        );
-    }
-    let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
+    let (root_links, root_ep) = channel_wiring(g, cfg.queue_capacity);
 
     let mut tasks = Vec::with_capacity(g * k);
     let mut site_iter = site_streams.into_iter();
@@ -1417,7 +1385,7 @@ where
         (reactor.join(), agg_res, root.join(), site_res)
     });
 
-    // Deterministic error priority, matching run_tree_on: panicking sites
+    // Deterministic error priority, matching run_tree_threads: panicking sites
     // by global index, then aggregators, then the root; then the reactor
     // (an FdExhausted there is the root cause of any downstream faults),
     // then transport errors tier by tier.
@@ -1459,6 +1427,53 @@ where
         metrics,
         group_stats,
         sync_log,
+    })
+}
+
+/// Test hook: accepts one site connection on `listener` (its `HELLO`
+/// checked against `k`), runs the coordinator reactor over it with the
+/// down link already closed, and returns every up-frame the reactor
+/// delivered, in order, tagged with the site id.
+#[cfg(test)]
+pub(crate) fn reactor_up_frames<U: FrameCodec + Send>(
+    listener: &TcpListener,
+    k: usize,
+) -> Result<Vec<(usize, UpFrame<U>)>, RuntimeError> {
+    let (stream, _peer) = listener
+        .accept()
+        .map_err(|e| io_runtime_err("accepting site connection", &e))?;
+    let site = read_hello(&stream, k)?;
+    stream
+        .set_nonblocking(true)
+        .map_err(|e| io_runtime_err("configuring site connection", &e))?;
+    let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
+    let tx = ConnTx::new(waker);
+    {
+        let mut st = tx.state.lock().expect("down state poisoned");
+        st.closing = true;
+        tx.publish(&st);
+    }
+    let conn = CoordConn {
+        stream,
+        site,
+        queue: 0,
+        recv: RecvBuf::new(),
+        tx,
+        up_done: false,
+        write_shut: false,
+        registered: false,
+        reg_read: false,
+        reg_write: false,
+        dead: false,
+    };
+    let (up_tx, up_rx) = mpsc::sync_channel(8);
+    thread::scope(|scope| {
+        let reactor = scope.spawn(move || coord_reactor::<U>(vec![conn], vec![up_tx], wake_rx));
+        let frames: Vec<_> = up_rx.iter().collect();
+        reactor
+            .join()
+            .map_err(|_| RuntimeError::Transport("coordinator reactor panicked".into()))??;
+        Ok(frames)
     })
 }
 
@@ -1541,11 +1556,13 @@ mod tests {
         }
     }
 
-    #[allow(deprecated)]
+    /// Unit items `0..n`, item `i` on site `i % k`.
     fn feeds(n: u64, k: usize) -> Vec<Box<dyn ItemFeed>> {
-        crate::engine::split_stream(k, (0..n).map(|i| ((i % k as u64) as usize, Item::unit(i))))
-            .into_iter()
-            .map(|part| Box::new(VecFeed::new(part)) as Box<dyn ItemFeed>)
+        (0..k as u64)
+            .map(|site| {
+                let part = (site..n).step_by(k).map(Item::unit).collect();
+                Box::new(VecFeed::new(part)) as Box<dyn ItemFeed>
+            })
             .collect()
     }
 
@@ -1739,5 +1756,57 @@ mod tests {
         .unwrap();
         assert_eq!(out.coordinator.received, 100);
         assert_eq!(out.metrics.up_total, 100);
+    }
+
+    #[test]
+    fn decode_up_faults_every_frame_but_batch_and_eof() {
+        #[derive(Debug)]
+        enum Want {
+            Batch(u64, Vec<Up>),
+            Eof,
+            Fault(&'static str),
+        }
+        let batch_header = |items: u64| {
+            let mut b = vec![TAG_BATCH];
+            b.extend_from_slice(&items.to_le_bytes());
+            b
+        };
+        let mut batch = batch_header(7);
+        encode_seq(&[Up(3), Up(4)], &mut batch);
+        let mut torn = batch_header(7);
+        torn.extend_from_slice(&[1, 2, 3]);
+        let mut fault = vec![TAG_FAULT];
+        fault.extend_from_slice("site disk on fire ✗".as_bytes());
+        let cases = [
+            ("batch", batch, Want::Batch(7, vec![Up(3), Up(4)])),
+            (
+                "torn batch body",
+                torn,
+                Want::Fault("bad batch payload: truncated frame"),
+            ),
+            (
+                "batch shorter than its header",
+                vec![TAG_BATCH, 1, 2, 3],
+                Want::Fault("batch frame shorter than its item-count header"),
+            ),
+            ("eof", vec![TAG_EOF], Want::Eof),
+            ("site fault", fault, Want::Fault("site disk on fire ✗")),
+            (
+                "unknown tag",
+                vec![0xEE, 0xFF],
+                Want::Fault("unexpected frame tag 0xee"),
+            ),
+            ("empty payload", vec![], Want::Fault("empty frame")),
+        ];
+        for (what, payload, want) in cases {
+            match (want, decode_up::<Up>(&payload)) {
+                (Want::Batch(want_items, want_msgs), UpFrame::Batch { msgs, items }) => {
+                    assert_eq!((items, msgs), (want_items, want_msgs), "{what}");
+                }
+                (Want::Eof, UpFrame::Eof) => {}
+                (Want::Fault(want), UpFrame::Fault(msg)) => assert_eq!(msg, want, "{what}"),
+                (want, got) => panic!("{what}: want {want:?}, got {got:?}"),
+            }
+        }
     }
 }

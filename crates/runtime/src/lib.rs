@@ -1,12 +1,10 @@
 //! # dwrs-runtime
 //!
 //! A concurrent execution substrate for the PODS'19 site/coordinator
-//! protocols: `k` sites and one coordinator run as real OS threads
-//! connected by a pluggable framed [`transport`] — in-process bounded
-//! channels ([`run_threads`]) or loopback TCP with the `swor::wire`
-//! encoding on real sockets ([`tcp::run_tcp`], plus standalone
-//! [`tcp::serve_coordinator`] / [`tcp::run_site`] halves for multi-process
-//! deployments).
+//! protocols, on two engines: `k` sites and one coordinator as OS threads
+//! over in-process bounded channels ([`run_threads`]), or `k` loopback
+//! TCP connections carrying the `swor::wire` encoding, multiplexed onto a
+//! few epoll event loops ([`run_epoll`]).
 //!
 //! Any [`dwrs_sim::SiteNode`] / [`dwrs_sim::CoordinatorNode`] pair runs
 //! unmodified; the lockstep simulator remains the specification substrate,
@@ -25,7 +23,7 @@
 //! * **panic-safe joins**: a crashing site or coordinator thread surfaces
 //!   as a [`RuntimeError`] instead of a hang.
 //!
-//! The threaded engines are *not* round-synchronous: sites apply
+//! The concurrent engines are *not* round-synchronous: sites apply
 //! coordinator broadcasts whenever they arrive, i.e. they run in the
 //! delayed-delivery regime the protocols already tolerate (stale
 //! thresholds cannot break correctness, only inflate message counts —
@@ -35,7 +33,7 @@
 //! Beyond the flat `k`-sites-one-coordinator deployment, the [`tree`]
 //! module runs the **hierarchical fan-in topology**: groups of sites
 //! against per-group aggregators, which periodically ship their mergeable
-//! keyed samples to a root merger over the same transports (see
+//! keyed samples to a root merger over an in-process channel (see
 //! [`run_tree_swor`]).
 //!
 //! For continuous monitoring — the paper's actual setting — the
@@ -89,7 +87,7 @@ pub mod epoll;
 pub(crate) mod obs;
 pub mod query;
 pub mod reactor;
-pub mod tcp;
+pub(crate) mod tcp;
 pub mod transport;
 pub mod tree;
 
@@ -99,8 +97,6 @@ pub use daemon::{AttachClient, CtrlClient, Daemon, DaemonConfig, RetryPolicy};
 pub use driver::{
     run_scenario, DispatcherStats, RunReport, Scenario, ShardSource, Topology, Workload,
 };
-#[allow(deprecated)]
-pub use engine::split_stream;
 pub use engine::{run_threads, RunOutput, RuntimeError};
 pub use epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed, VecFeed};
 pub use query::{Query, QueryAnswer};
@@ -109,8 +105,6 @@ pub use transport::{
     channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
     Wiring,
 };
-#[allow(deprecated)]
-pub use tree::split_tree_stream;
 pub use tree::{
     run_tree_nodes, run_tree_swor, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
 };

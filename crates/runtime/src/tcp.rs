@@ -1,6 +1,6 @@
-//! Loopback-TCP transport: the same engine loops, but frames cross real
-//! sockets using `dwrs_core::framed` length-prefixed encoding over the
-//! `swor::wire` payload codec — so the bytes on the wire are exactly the
+//! The framed TCP data plane: frames cross real sockets using
+//! `dwrs_core::framed` length-prefixed encoding over the `swor::wire`
+//! payload codec — so the bytes on the wire are exactly the
 //! bytes the metrics meter.
 //!
 //! Socket protocol (all frames are `[u32 len][payload]`, payload starts
@@ -23,29 +23,22 @@
 //! after `EOF`; the coordinator half-closes each down link once every site
 //! reported `EOF`, which terminates the sites' drain loops.
 //!
-//! Dedicated reader threads bridge each socket onto the same `mpsc`
-//! receivers the channel transport uses: per-connection readers on the
-//! coordinator side feed the shared bounded up queue (so TCP inherits the
-//! engine's backpressure: a slow coordinator fills the queue, the readers
-//! block, the kernel socket buffers fill, and site writes stall), and one
-//! reader per site drains down-messages eagerly (which keeps the
-//! coordinator's down writes from ever blocking — the deadlock-freedom
-//! invariant).
+//! This module holds the blocking socket pieces the other socket paths
+//! share: the tag registry, the `HELLO` reader the epoll engine's accept
+//! loop uses, and the site-side up sender, down reader and
+//! coordinator-side down sender the daemon's data plane runs on. The
+//! down reader runs on its own thread and drains eagerly, which keeps
+//! the coordinator's down writes from ever blocking (the deadlock-freedom
+//! invariant of [`crate::engine`]).
 
-use std::io::{self, Read};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::Read;
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
-use std::thread;
 
-use dwrs_core::framed::{decode_seq, encode_seq, FrameCodec, FramedReader, FramedWriter};
-use dwrs_core::Item;
-use dwrs_sim::{CoordinatorNode, Metrics, SiteNode};
+use dwrs_core::framed::{encode_seq, FrameCodec, FramedReader, FramedWriter};
 
-use crate::config::RuntimeConfig;
-use crate::engine::{coordinator_loop, site_loop, RunOutput, RuntimeError};
-use crate::transport::{
-    BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
-};
+use crate::engine::RuntimeError;
+use crate::transport::{BatchSender, DownSender, TransportError, UpFrame};
 
 pub(crate) const TAG_HELLO: u8 = 0x10;
 pub(crate) const TAG_BATCH: u8 = 0x11;
@@ -128,36 +121,6 @@ impl<U: FrameCodec + Send> BatchSender<U> for TcpBatchSender<U> {
     }
 }
 
-/// Connects one site to a coordinator at `addr`: performs the `HELLO`
-/// handshake and spawns the down-reader thread.
-pub fn connect_site<U, D>(
-    addr: impl ToSocketAddrs,
-    site_id: usize,
-) -> io::Result<SiteEndpoint<U, D>>
-where
-    U: FrameCodec + Send + 'static,
-    D: FrameCodec + Send + 'static,
-{
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = FramedWriter::new(stream.try_clone()?);
-    let mut hello = vec![TAG_HELLO];
-    hello.extend_from_slice(&(site_id as u32).to_le_bytes());
-    writer.write_blob(&hello)?;
-
-    let (down_tx, down_rx) = mpsc::channel::<D>();
-    let read_half = stream;
-    thread::spawn(move || down_reader(read_half, down_tx));
-    Ok(SiteEndpoint::new(
-        site_id,
-        Box::new(TcpBatchSender {
-            writer,
-            _marker: std::marker::PhantomData,
-        }),
-        down_rx,
-    ))
-}
-
 /// Site-side reader: decodes `DOWN` frames into the in-process channel
 /// until the coordinator half-closes. Runs on its own thread so the socket
 /// is always drained (downs never back up into the coordinator). On any
@@ -185,33 +148,6 @@ pub(crate) fn down_reader<D: FrameCodec>(stream: TcpStream, tx: mpsc::Sender<D>)
             return;
         }
     }
-}
-
-/// Runs one site endpoint to completion against a remote coordinator:
-/// connect, stream `items` through the protocol with batching, `EOF`,
-/// drain. Returns the final site state and its upstream [`Metrics`].
-pub fn run_site<S, I>(
-    addr: impl ToSocketAddrs,
-    site_id: usize,
-    mut site: S,
-    items: I,
-    cfg: &RuntimeConfig,
-) -> Result<(S, Metrics), RuntimeError>
-where
-    S: SiteNode,
-    S::Up: FrameCodec + Send + 'static,
-    S::Down: FrameCodec + Send + 'static,
-    I: IntoIterator<Item = Item>,
-{
-    let endpoint = connect_site(addr, site_id).map_err(TransportError::Io)?;
-    let metrics = site_loop(
-        &mut site,
-        endpoint,
-        items,
-        cfg.batch_max.max(1),
-        cfg.down_poll_every,
-    )?;
-    Ok((site, metrics))
 }
 
 // ---------------------------------------------------- coordinator side
@@ -252,109 +188,11 @@ impl<D: FrameCodec + Send> DownSender<D> for TcpDownSender<D> {
     }
 }
 
-/// Coordinator-side reader for one site connection: decodes
-/// `BATCH`/`EOF`/`FAULT` frames into the shared bounded up queue. Any
-/// protocol violation or abrupt disconnect becomes an [`UpFrame::Fault`]
-/// so the run terminates with a diagnostic instead of hanging. On exit the
-/// socket is fully shut down, so a misbehaving peer that keeps streaming
-/// fails fast on its next write instead of blocking forever once the
-/// kernel buffer fills.
-fn up_reader<U: FrameCodec>(
-    stream: TcpStream,
-    site: usize,
-    tx: mpsc::SyncSender<(usize, UpFrame<U>)>,
-) {
-    let shutdown_handle = stream.try_clone().ok();
-    let mut reader = FramedReader::new(stream);
-    loop {
-        let frame = match reader.read_blob() {
-            Ok(Some(payload)) => match payload.split_first() {
-                Some((&TAG_BATCH, body)) if body.len() >= 8 => {
-                    let items = u64::from_le_bytes(body[..8].try_into().expect("8 bytes checked"));
-                    match decode_seq::<U>(&body[8..]) {
-                        Ok(msgs) => UpFrame::Batch { msgs, items },
-                        Err(e) => UpFrame::Fault(format!("bad batch payload: {e}")),
-                    }
-                }
-                Some((&TAG_BATCH, _)) => {
-                    UpFrame::Fault("batch frame shorter than its item-count header".into())
-                }
-                Some((&TAG_EOF, _)) => UpFrame::Eof,
-                Some((&TAG_FAULT, body)) => {
-                    UpFrame::Fault(String::from_utf8_lossy(body).into_owned())
-                }
-                Some((&tag, _)) => UpFrame::Fault(format!("unexpected frame tag {tag:#x}")),
-                None => UpFrame::Fault("empty frame".into()),
-            },
-            Ok(None) => UpFrame::Fault("connection closed before EOF frame".into()),
-            Err(e) => UpFrame::Fault(format!("read error: {e}")),
-        };
-        let terminal = !matches!(frame, UpFrame::Batch { .. });
-        // A fault means the session is broken: fully shut the socket so a
-        // peer still streaming into it errors out promptly. A clean `Eof`
-        // must leave the socket open — the coordinator's down link shares
-        // it and still carries broadcasts until shutdown phase 2.
-        let broken = matches!(frame, UpFrame::Fault(_));
-        if tx.send((site, frame)).is_err() || terminal {
-            if broken {
-                if let Some(s) = shutdown_handle.as_ref() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-            }
-            return;
-        }
-    }
-}
-
-/// Accepts `k` site connections on `listener`, reads each `HELLO`, and
-/// assembles the coordinator endpoint (spawning one up-reader thread per
-/// connection).
-pub fn accept_sites<U, D>(
-    listener: &TcpListener,
-    k: usize,
-    queue_capacity: usize,
-) -> Result<CoordEndpoint<U, D>, RuntimeError>
-where
-    U: FrameCodec + Send + 'static,
-    D: FrameCodec + Send + 'static,
-{
-    assert!(k >= 1, "need at least one site");
-    let (up_tx, up_rx) = mpsc::sync_channel(queue_capacity.max(1));
-    let mut downs: Vec<Option<Box<dyn DownSender<D>>>> = (0..k).map(|_| None).collect();
-    for _ in 0..k {
-        let (stream, _peer) = listener.accept().map_err(TransportError::Io)?;
-        stream.set_nodelay(true).map_err(TransportError::Io)?;
-        let site = read_hello(&stream)?;
-        if site >= k {
-            return Err(RuntimeError::Transport(format!(
-                "HELLO for site {site} but k = {k}"
-            )));
-        }
-        if downs[site].is_some() {
-            return Err(RuntimeError::Transport(format!(
-                "duplicate HELLO for site {site}"
-            )));
-        }
-        let writer = FramedWriter::new(stream.try_clone().map_err(TransportError::Io)?);
-        downs[site] = Some(Box::new(TcpDownSender {
-            writer,
-            _marker: std::marker::PhantomData,
-        }));
-        let tx = up_tx.clone();
-        thread::spawn(move || up_reader::<U>(stream, site, tx));
-    }
-    drop(up_tx);
-    let downs = downs
-        .into_iter()
-        .map(|d| d.expect("all k slots filled above"))
-        .collect();
-    Ok(CoordEndpoint::new(up_rx, downs))
-}
-
-/// Reads and validates the `HELLO` frame that opens every site connection
-/// (shared with the epoll engine's accept loop, which handshakes while
-/// the socket is still in blocking mode).
-pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
+/// Reads and validates the `HELLO` frame that opens every site
+/// connection — its length, its tag and a site id below `k` — and returns
+/// the id. The epoll engine's accept loop calls it while the socket is
+/// still in blocking mode.
+pub(crate) fn read_hello(stream: &TcpStream, k: usize) -> Result<usize, RuntimeError> {
     let mut len_bytes = [0u8; 4];
     let mut take = stream;
     take.read_exact(&mut len_bytes)
@@ -374,118 +212,63 @@ pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
             payload[0]
         )));
     }
-    Ok(u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize)
-}
-
-/// Runs a coordinator as a TCP server: accept `k` sites, drive the
-/// protocol until every site reports `EOF`, half-close, and return the
-/// final coordinator state, metrics, and the total stream-progress
-/// watermark (items observed across all sites, from the batch frames).
-///
-/// Metrics here include upstream counts (metered from the decoded frames):
-/// unlike the in-process engines, a standalone server cannot merge its
-/// remote sites' thread-local meters.
-///
-/// This serves exactly one stream to completion and returns. For a
-/// persistent multi-stream service with live queries, use
-/// [`crate::daemon::Daemon`].
-pub fn serve_coordinator<C>(
-    listener: &TcpListener,
-    k: usize,
-    mut coordinator: C,
-    cfg: &RuntimeConfig,
-) -> Result<(C, Metrics, u64), RuntimeError>
-where
-    C: CoordinatorNode,
-    C::Up: FrameCodec + Send + 'static,
-    C::Down: FrameCodec + Send + 'static,
-{
-    let endpoint = accept_sites::<C::Up, C::Down>(listener, k, cfg.queue_capacity)?;
-    let (metrics, items) = coordinator_loop(&mut coordinator, endpoint, true)?;
-    Ok((coordinator, metrics, items))
-}
-
-// ------------------------------------------------------------- engine
-
-/// Runs a full deployment over loopback TCP inside one process: binds an
-/// ephemeral listener on 127.0.0.1, connects `k` site sockets, and drives
-/// the same engine as [`crate::engine::run_threads`] with every protocol
-/// byte crossing the kernel's TCP stack.
-pub fn run_tcp<S, C, I>(
-    sites: Vec<S>,
-    coordinator: C,
-    streams: Vec<I>,
-    cfg: &RuntimeConfig,
-) -> Result<RunOutput<S, C>, RuntimeError>
-where
-    S: SiteNode + Send,
-    S::Up: FrameCodec + Send + 'static,
-    S::Down: FrameCodec + Send + 'static,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
-    I: IntoIterator<Item = Item> + Send,
-{
-    let k = sites.len();
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-        .map_err(|e| RuntimeError::Transport(format!("bind loopback listener: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-
-    // Connect all k site sockets first (they complete against the listen
-    // backlog without an accept loop running), then accept and handshake.
-    let mut eps = Vec::with_capacity(k);
-    for id in 0..k {
-        eps.push(
-            connect_site::<S::Up, S::Down>(addr, id)
-                .map_err(|e| RuntimeError::Transport(format!("connect site {id}: {e}")))?,
-        );
+    let site = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize;
+    if site >= k {
+        return Err(RuntimeError::Transport(format!(
+            "HELLO for site {site} but k = {k}"
+        )));
     }
-    let coord_ep = accept_sites::<S::Up, S::Down>(&listener, k, cfg.queue_capacity)?;
-    crate::engine::run_on((eps, coord_ep), sites, coordinator, streams, cfg)
+    Ok(site)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwrs_core::swor::{DownMsg, UpMsg};
+    use dwrs_core::swor::UpMsg;
     use std::io::Write;
+    use std::net::TcpListener;
 
     #[test]
     fn hello_rejects_out_of_range_site() {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
-            let a = connect_site::<UpMsg, DownMsg>(addr, 7);
-            drop(a);
-        });
-        let err = accept_sites::<UpMsg, DownMsg>(&listener, 2, 8).unwrap_err();
+        let hello = |site: u8| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(&5u32.to_le_bytes()).unwrap();
+            s.write_all(&[TAG_HELLO, site, 0, 0, 0]).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            (s, read_hello(&accepted, 2))
+        };
+        let (_keep, ok) = hello(1);
+        assert_eq!(ok.unwrap(), 1);
+        let (_keep, err) = hello(7);
+        let err = err.unwrap_err();
         assert!(
             matches!(err, RuntimeError::Transport(ref m) if m.contains("site 7")),
             "got {err:?}"
         );
-        handle.join().unwrap();
     }
 
     #[test]
     fn site_sent_fault_round_trips_with_message() {
-        // A Fault shipped through the site's BatchSender must arrive as a
-        // Fault with its diagnostic intact — not be silently degraded to a
-        // clean Eof.
+        // A Fault shipped through the site's BatchSender must reach the
+        // coordinator reactor as a Fault with its diagnostic intact — not
+        // be silently degraded to a clean Eof.
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
-            let mut ep = connect_site::<UpMsg, DownMsg>(addr, 0).unwrap();
-            ep.up
-                .send(UpFrame::Fault("site disk on fire".into()))
-                .unwrap();
+        let handle = std::thread::spawn(move || {
+            let s = TcpStream::connect(addr).unwrap();
+            (&s).write_all(&5u32.to_le_bytes()).unwrap();
+            (&s).write_all(&[TAG_HELLO, 0, 0, 0, 0]).unwrap();
+            let mut up = tcp_batch_sender::<UpMsg>(s);
+            up.send(UpFrame::Fault("site disk on fire".into())).unwrap();
+            up.close();
         });
-        let ep = accept_sites::<UpMsg, DownMsg>(&listener, 1, 8).unwrap();
-        let (site, frame) = ep.up.recv().unwrap();
+        let frames = crate::epoll::reactor_up_frames::<UpMsg>(&listener, 1).unwrap();
         handle.join().unwrap();
-        assert_eq!(site, 0);
         assert!(
-            matches!(frame, UpFrame::Fault(ref m) if m == "site disk on fire"),
-            "got {frame:?}"
+            matches!(frames.as_slice(), [(0, UpFrame::Fault(m))] if m == "site disk on fire"),
+            "got {frames:?}"
         );
     }
 
@@ -493,7 +276,7 @@ mod tests {
     fn garbage_connection_surfaces_as_fault() {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
+        let handle = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             // Valid HELLO, then a garbage frame.
             s.write_all(&5u32.to_le_bytes()).unwrap();
@@ -501,11 +284,7 @@ mod tests {
             s.write_all(&3u32.to_le_bytes()).unwrap();
             s.write_all(&[0xEE, 0xFF, 0x00]).unwrap();
         });
-        let ep = accept_sites::<UpMsg, DownMsg>(&listener, 1, 8).unwrap();
-        let mut frames = Vec::new();
-        while let Ok(f) = ep.up.recv() {
-            frames.push(f);
-        }
+        let frames = crate::epoll::reactor_up_frames::<UpMsg>(&listener, 1).unwrap();
         handle.join().unwrap();
         assert!(
             frames

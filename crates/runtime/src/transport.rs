@@ -3,8 +3,9 @@
 //! A deployment is `k` site endpoints plus one coordinator endpoint. Only
 //! the *sending* halves differ between transports (an in-process channel
 //! sender vs. a framed socket writer), so those are trait objects; the
-//! receiving halves are always `std::sync::mpsc` receivers — the TCP
-//! transport bridges sockets onto channels with dedicated reader threads.
+//! receiving halves are always `std::sync::mpsc` receivers — socket
+//! transports bridge their connections onto channels (the epoll reactor
+//! on the coordinator side, a down-reader thread on a daemon site).
 //!
 //! Queue discipline (the deadlock-freedom invariant, see `crate::engine`):
 //! the site→coordinator path is **bounded** (blocking `send` = backpressure)

@@ -18,11 +18,11 @@
 //! ```
 //!
 //! Both hops reuse the existing transport layer: sites↔aggregator links
-//! are ordinary [`crate::transport`] wirings (bounded in-process channels
-//! or framed loopback TCP), and the aggregator→root hop is *the same
-//! up-path abstraction* instantiated at `U = SyncMsg` — so the `HELLO`
-//! handshake, batch framing, fault frames, and backpressure discipline all
-//! carry over unchanged.
+//! are ordinary [`crate::transport`] wirings (bounded in-process channels,
+//! or the epoll engine's loopback sockets), and the aggregator→root hop is
+//! *the same up-path abstraction* instantiated at `U = SyncMsg` over
+//! in-process channels — so batch frames, fault frames, and the
+//! backpressure discipline all carry over unchanged.
 //!
 //! # Deadlock freedom across two hops
 //!
@@ -55,7 +55,6 @@
 //! [`GroupStats`] and asserted by the tree equivalence suite. After
 //! shutdown the root is exact: the final sync covers every item.
 
-use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::mpsc;
 use std::thread;
 
@@ -71,7 +70,6 @@ use crate::adapters::EngineKind;
 use crate::config::RuntimeConfig;
 use crate::engine::{route, site_loop, RuntimeError};
 use crate::obs::{record_thread_metrics, tree_syncs_counter};
-use crate::tcp::{accept_sites, connect_site};
 use crate::transport::{
     channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame, Wiring,
 };
@@ -159,8 +157,8 @@ impl SampleSource for SworCoordinator {
 /// Largest candidate count a window aggregator syncs in one frame: what
 /// fits a `MAX_FRAME_LEN` sync payload (17-byte header + 24 bytes per
 /// entry, with slack for the batch wrapper). ~43k entries — far above the
-/// expected `O(s·log(window/s))` retained-set size for any `s` the TCP
-/// tree admits; only adversarially ordered keys (a near-monotone key
+/// expected `O(s·log(window/s))` retained-set size for any `s` up to
+/// that size; only adversarially ordered keys (a near-monotone key
 /// stream, whose undominated set is the whole window) ever reach it.
 const MAX_WINDOW_SYNC_ENTRIES: usize = (dwrs_core::framed::MAX_FRAME_LEN as usize - 64) / 24;
 
@@ -170,9 +168,8 @@ impl SampleSource for dwrs_apps::WindowCoordinator {
     /// top-`s` cut could let globally-expired entries displace candidates
     /// the root still needs. The root applies the global window cutoff
     /// and the final top-`s` (`Query::SlidingWindow`'s tree answer).
-    /// Only the frame-cap backstop `MAX_WINDOW_SYNC_ENTRIES` truncates
-    /// (keeping the largest keys), so the sync always fits the framed
-    /// transport.
+    /// Only the backstop `MAX_WINDOW_SYNC_ENTRIES` truncates (keeping the
+    /// largest keys), bounding a sync at what one framed payload carries.
     fn keyed_sample(&self) -> Vec<Keyed> {
         let mut entries = self.window_entries();
         if entries.len() > MAX_WINDOW_SYNC_ENTRIES {
@@ -346,47 +343,14 @@ pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult 
     }
 }
 
-/// Splits a globally ordered `(global_site, item)` stream into per-group,
-/// per-site partitions: global site `i` is site `i % k` of group `i / k`.
-/// The tree analogue of [`crate::split_stream`].
-///
-/// This **materializes the whole stream** (O(n) memory), like its flat
-/// sibling; it is kept only so old call sites keep compiling. New code
-/// should describe the deployment as a [`crate::driver::Scenario`] with a
-/// tree topology and let [`crate::driver::run_scenario`] stream the
-/// workload through the bounded dispatcher at O(batch × queue) memory.
-#[deprecated(
-    since = "0.1.0",
-    note = "materializes the whole stream (O(n) memory); describe the run as a \
-            driver::Scenario with a tree topology and use driver::run_scenario, \
-            which streams at O(batch × queue) memory"
-)]
-pub fn split_tree_stream<I>(topo: &TreeTopology, stream: I) -> Vec<Vec<Vec<Item>>>
-where
-    I: IntoIterator<Item = (usize, Item)>,
-{
-    let k = topo.k_per_group;
-    let mut parts: Vec<Vec<Vec<Item>>> = (0..topo.groups)
-        .map(|_| (0..k).map(|_| Vec::new()).collect())
-        .collect();
-    for (site, item) in stream {
-        assert!(site < topo.total_sites(), "global site index out of range");
-        parts[site / k][site % k].push(item);
-    }
-    parts
-}
-
-/// Runs a full fan-in tree over an already-built wiring: one
-/// site/aggregator wiring per group plus the aggregator→root wiring.
-/// Generic over the protocol — `mk_site(group, site)` and
-/// `mk_aggregator(group)` build the group deployments (any
-/// [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`] pair) — and the
-/// engine behind both the threaded and TCP paths of [`run_tree_swor`] and
-/// the query-generic [`run_tree_nodes`].
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn run_tree_on<S, A, I>(
-    group_wirings: Vec<Wiring<S::Up, S::Down>>,
-    root_wiring: Wiring<SyncMsg, NoDown>,
+/// Runs a full fan-in tree on the threads engine: one channel wiring per
+/// group plus the aggregator→root channel wiring. Generic over the
+/// protocol — `mk_site(group, site)` and `mk_aggregator(group)` build the
+/// group deployments (any [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`]
+/// pair) — and the engine behind the threaded path of [`run_tree_swor`]
+/// and the query-generic [`run_tree_nodes`].
+#[allow(clippy::type_complexity)]
+fn run_tree_threads<S, A, I>(
     s: usize,
     topo: &TreeTopology,
     mut mk_site: impl FnMut(usize, usize) -> S,
@@ -396,17 +360,18 @@ fn run_tree_on<S, A, I>(
 ) -> Result<TreeOutput, RuntimeError>
 where
     S: SiteNode + Send,
-    S::Up: Send,
-    S::Down: Send,
+    S::Up: Send + 'static,
+    S::Down: Clone + Send + 'static,
     A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
     I: IntoIterator<Item = Item> + Send,
 {
     let (g, k) = (topo.groups, topo.k_per_group);
     let batch_max = cfg.batch_max.max(1);
     let down_poll_every = cfg.down_poll_every.max(1);
-    let (root_links, root_ep) = root_wiring;
-    assert_eq!(group_wirings.len(), g, "one wiring per group");
-    assert_eq!(root_links.len(), g, "one root link per group");
+    let group_wirings: Vec<Wiring<S::Up, S::Down>> = (0..g)
+        .map(|_| channel_wiring(k, cfg.queue_capacity))
+        .collect();
+    let (root_links, root_ep) = channel_wiring(g, cfg.queue_capacity);
     assert_eq!(streams.len(), g, "one stream block per group");
 
     type SiteRes = Result<Metrics, RuntimeError>;
@@ -623,14 +588,13 @@ where
 ///
 /// `streams[gi][i]` is the partition of the stream for site `i` of group
 /// `gi`, in that site's arrival order — any streaming iterators (the
-/// scenario driver passes its bounded shard queues; the deprecated
-/// [`split_tree_stream`] derives materialized O(n) blocks from a globally
-/// ordered stream for legacy call sites).
+/// scenario driver passes its bounded shard queues).
 ///
 /// With [`EngineKind::Lockstep`] the tree runs on the single-threaded
 /// simulator over a round-robin interleaving of the partitions; the other
-/// engines run `g·k` site threads, `g` aggregator threads, and one root
-/// thread over in-process channels or loopback TCP.
+/// engines run `g` aggregator threads and one root thread, with the `g·k`
+/// sites on their own threads over in-process channels (threads) or
+/// multiplexed over loopback TCP (epoll).
 pub fn run_tree_swor<I>(
     engine: EngineKind,
     group_cfg: &SworConfig,
@@ -659,7 +623,7 @@ where
             });
             Ok(finish_lockstep_tree(tree))
         }
-        EngineKind::Threads | EngineKind::Tcp | EngineKind::Epoll => {
+        EngineKind::Threads | EngineKind::Epoll => {
             let group_seed = |gi: usize| tree_group_seed(seed, gi);
             run_tree_nodes(
                 engine,
@@ -674,7 +638,7 @@ where
     }
 }
 
-/// Runs a generic fan-in tree on the threaded or TCP substrate: `g` groups
+/// Runs a generic fan-in tree on the threads or epoll engine: `g` groups
 /// of `k` sites built by `mk_site(group, site)` against per-group
 /// aggregators built by `mk_aggregator(group)` (any
 /// [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`] pair), with the
@@ -698,31 +662,14 @@ where
     A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
     I: IntoIterator<Item = Item> + Send,
 {
-    let (g, k) = (topo.groups, topo.k_per_group);
-    assert_eq!(streams.len(), g, "one stream block per group");
+    assert_eq!(streams.len(), topo.groups, "one stream block per group");
     match engine {
         EngineKind::Lockstep => Err(RuntimeError::InvalidScenario(
             "run_tree_nodes drives the concurrent substrates; lockstep trees run through \
              the scenario driver"
                 .into(),
         )),
-        EngineKind::Threads => {
-            let group_wirings = (0..g)
-                .map(|_| channel_wiring(k, cfg.queue_capacity))
-                .collect();
-            let root_wiring = channel_wiring(g, cfg.queue_capacity);
-            run_tree_on(
-                group_wirings,
-                root_wiring,
-                s,
-                topo,
-                mk_site,
-                mk_aggregator,
-                streams,
-                cfg,
-            )
-        }
-        EngineKind::Tcp => run_tree_tcp(s, topo, mk_site, mk_aggregator, streams, cfg),
+        EngineKind::Threads => run_tree_threads(s, topo, mk_site, mk_aggregator, streams, cfg),
         EngineKind::Epoll => {
             // This vec-based entry point materializes each partition into
             // a [`crate::epoll::VecFeed`]; streaming deployments (the
@@ -746,124 +693,26 @@ where
     }
 }
 
-/// Wires the whole tree over loopback TCP inside one process — one
-/// listener per aggregator plus one for the root, every hop crossing the
-/// kernel's TCP stack with framed wire encoding — then hands off
-/// to the shared engine.
-fn run_tree_tcp<S, A, I>(
-    s: usize,
-    topo: &TreeTopology,
-    mk_site: impl FnMut(usize, usize) -> S,
-    mk_aggregator: impl FnMut(usize) -> A,
-    streams: Vec<Vec<I>>,
-    cfg: &RuntimeConfig,
-) -> Result<TreeOutput, RuntimeError>
-where
-    S: SiteNode + Send,
-    S::Up: dwrs_core::framed::FrameCodec + Send + 'static,
-    S::Down: dwrs_core::framed::FrameCodec + Send + 'static,
-    A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
-    I: IntoIterator<Item = Item> + Send,
-{
-    let (g, k) = (topo.groups, topo.k_per_group);
-    // Fail fast instead of mid-run: a sync frame carries the whole sample
-    // (9-byte batch header + 17-byte SyncMsg header + 24 bytes per entry)
-    // and the framed transport caps payloads at MAX_FRAME_LEN. The channel
-    // engine has no such limit — only the framed hop does.
-    let max_sync_payload = 9 + 17 + 24 * s;
-    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
-    if max_sync_payload > frame_cap {
-        let max_s = (frame_cap - 9 - 17) / 24;
-        return Err(RuntimeError::Transport(format!(
-            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the TCP tree supports s <= {max_s}"
-        )));
-    }
-    let bind = |what: &str| -> Result<(TcpListener, std::net::SocketAddr), RuntimeError> {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-            .map_err(|e| RuntimeError::Transport(format!("bind {what} listener: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        Ok((listener, addr))
-    };
-    let (root_listener, root_addr) = bind("root")?;
-    let mut group_wirings = Vec::with_capacity(g);
-    let mut root_links = Vec::with_capacity(g);
-    for gi in 0..g {
-        let (listener, addr) = bind("group")?;
-        // Connect all k site sockets first (they complete against the
-        // listen backlog), then accept and handshake — as in the flat
-        // loopback engine.
-        let mut eps = Vec::with_capacity(k);
-        for i in 0..k {
-            eps.push(tcp_connect(addr, i, &format!("group {gi} site {i}"))?);
-        }
-        let coord_ep = accept_sites(&listener, k, cfg.queue_capacity)?;
-        group_wirings.push((eps, coord_ep));
-        root_links.push(tcp_connect(
-            root_addr,
-            gi,
-            &format!("group {gi} root link"),
-        )?);
-    }
-    let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
-    run_tree_on(
-        group_wirings,
-        (root_links, root_ep),
-        s,
-        topo,
-        mk_site,
-        mk_aggregator,
-        streams,
-        cfg,
-    )
-}
-
-/// [`connect_site`] with a contextualized transport error.
-fn tcp_connect<U, D>(
-    addr: impl ToSocketAddrs,
-    id: usize,
-    what: &str,
-) -> Result<SiteEndpoint<U, D>, RuntimeError>
-where
-    U: dwrs_core::framed::FrameCodec + Send + 'static,
-    D: dwrs_core::framed::FrameCodec + Send + 'static,
-{
-    connect_site(addr, id).map_err(|e| RuntimeError::Transport(format!("connect {what}: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[allow(deprecated)]
+    /// Items `0..n` with weights cycling through 1..=7; global site
+    /// `i % total` is site `i % k` of group `i / k`.
     fn tree_streams(topo: &TreeTopology, n: u64) -> Vec<Vec<Vec<Item>>> {
-        let total = topo.total_sites() as u64;
-        split_tree_stream(
-            topo,
-            (0..n).map(|i| ((i % total) as usize, Item::new(i, 1.0 + (i % 7) as f64))),
-        )
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn split_tree_stream_routes_by_group_and_site() {
-        let topo = TreeTopology::new(2, 2, 10);
-        let parts = split_tree_stream(
-            &topo,
-            vec![
-                (0, Item::unit(0)),
-                (3, Item::unit(1)),
-                (2, Item::unit(2)),
-                (3, Item::unit(3)),
-            ],
-        );
-        let ids = |v: &Vec<Item>| v.iter().map(|i| i.id).collect::<Vec<_>>();
-        assert_eq!(ids(&parts[0][0]), vec![0]);
-        assert!(parts[0][1].is_empty());
-        assert_eq!(ids(&parts[1][0]), vec![2]);
-        assert_eq!(ids(&parts[1][1]), vec![1, 3]);
+        let (total, k) = (topo.total_sites(), topo.k_per_group);
+        (0..topo.groups)
+            .map(|gi| {
+                (0..k)
+                    .map(|i| {
+                        ((gi * k + i) as u64..n)
+                            .step_by(total)
+                            .map(|id| Item::new(id, 1.0 + (id % 7) as f64))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -909,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn tcp_tree_end_to_end() {
+    fn epoll_tree_end_to_end() {
         let topo = TreeTopology::new(2, 2, 1_000);
         let n = 20_000u64;
         let out = run_tree_swor(
-            EngineKind::Tcp,
+            EngineKind::Epoll,
             &SworConfig::new(8, topo.k_per_group),
             &topo,
             7,
@@ -999,24 +848,24 @@ mod tests {
     }
 
     #[test]
-    fn tcp_tree_rejects_sample_size_over_frame_cap() {
-        // A sync frame must fit MAX_FRAME_LEN; the TCP engine fails fast
-        // with a diagnostic instead of erroring mid-run (the channel
-        // engine has no framing and accepts the same size).
-        let topo = TreeTopology::new(1, 1, 1_000);
-        let err = run_tree_swor(
-            EngineKind::Tcp,
-            &SworConfig::new(50_000, topo.k_per_group),
+    fn epoll_tree_completes_sample_size_over_frame_cap() {
+        // A sync frame for s = 50,000 would exceed MAX_FRAME_LEN, but the
+        // root hop is an in-process channel on every engine: the epoll
+        // tree accepts the size the threads tree does.
+        let topo = TreeTopology::new(2, 1, 1_000);
+        let s = 50_000;
+        let out = run_tree_swor(
+            EngineKind::Epoll,
+            &SworConfig::new(s, topo.k_per_group),
             &topo,
             1,
-            vec![vec![Vec::new()]],
+            tree_streams(&topo, 60_000),
             &RuntimeConfig::default(),
         )
-        .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Transport(ref m) if m.contains("sample size 50000")),
-            "got {err:?}"
-        );
+        .unwrap();
+        assert_eq!(out.root_sample.len(), s);
+        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
+        assert_eq!(items, 60_000);
     }
 
     #[test]

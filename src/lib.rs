@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`core`] | `dwrs-core` | the message-optimal distributed weighted SWOR (Algorithms 1–3), weighted SWR reduction, unweighted substrates, centralized reference samplers, exact oracle, math/RNG |
 //! | [`sim`] | `dwrs-sim` | the distributed coordinator-model simulator with exact message metering, incl. the lockstep fan-in tree |
-//! | [`runtime`] | `dwrs-runtime` | concurrent site/coordinator engines (threads, loopback TCP) in flat and hierarchical topologies |
+//! | [`runtime`] | `dwrs-runtime` | concurrent site/coordinator engines (OS threads, an epoll reactor over loopback TCP) in flat and hierarchical topologies |
 //! | [`workloads`] | `dwrs-workloads` | stream generators incl. the lower-bound hard instances |
 //! | [`apps`] | `dwrs-apps` | residual heavy hitters (Thm. 4), L1 tracking (Thm. 6) + baselines, sliding-window extension |
 //! | [`stats`] | `dwrs-stats` | chi-square / KS / TV validation toolkit, mergeable GK quantile sketch |
@@ -21,7 +21,7 @@
 //! ## Quickstart
 //!
 //! One declarative [`Scenario`] runs on any engine (lockstep simulator,
-//! OS threads, loopback TCP) in any topology (flat, fan-in tree), with
+//! OS threads, epoll over loopback TCP) in any topology (flat, fan-in tree), with
 //! the workload streamed through a bounded dispatcher — O(batch × queue)
 //! resident memory however long the stream:
 //!

@@ -218,12 +218,7 @@ fn engines_agree_on_large_skewed_stream_invariants() {
     let k = 4;
     let s = 16;
     let n = 100_000u64;
-    for engine in [
-        EngineKind::Lockstep,
-        EngineKind::Threads,
-        EngineKind::Tcp,
-        EngineKind::Epoll,
-    ] {
+    for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
         let sc = Scenario::new(engine, k, s)
             .with_n(n)
             .with_seed(77)
@@ -263,5 +258,33 @@ fn engines_agree_on_large_skewed_stream_invariants() {
                 d.in_flight_bound()
             );
         }
+    }
+}
+
+#[test]
+fn engines_agree_on_heavy_hitter_inclusion() {
+    // Same deployment, same seed, both concurrent engines: the heaviest
+    // item of a very skewed stream must be sampled by both (its inclusion
+    // probability is overwhelming at this weight ratio).
+    let mut items = dwrs::workloads::zipf_ranked(20_000, 1.5, 3);
+    let max_id = items
+        .iter()
+        .max_by(|a, b| a.weight.total_cmp(&b.weight))
+        .unwrap()
+        .id;
+    for it in &mut items {
+        if it.id == max_id {
+            it.weight *= 1e6;
+        }
+    }
+    for engine in [EngineKind::Threads, EngineKind::Epoll] {
+        let sc = Scenario::new(engine, K, 8)
+            .with_workload(Workload::items(items.clone()))
+            .with_seed(555);
+        let report = run_scenario(&sc).expect("run");
+        assert!(
+            report.sample.iter().any(|kd| kd.item.id == max_id),
+            "engine {engine}: dominant item missing from sample"
+        );
     }
 }
